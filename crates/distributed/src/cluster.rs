@@ -1,9 +1,8 @@
 //! Sharded, replicated, scatter-gather vector search (§2.3 "distributed
 //! search").
 //!
-//! Shards are in-process by default, or remote over TCP when the builder
-//! returns [`crate::RemoteShard`]s (see [`crate::remote`]). Each shard
-//! owns its own index over its slice of the collection; replicas are
+//! Shards are in-process: each builder call returns a [`VectorIndex`]
+//! over the shard's slice of the collection; replicas are
 //! additional copies used for load spreading and failover; queries
 //! scatter to the routed shards on detached worker threads and gather
 //! through a global top-k merge — bounded by [`SearchParams::timeout`]
@@ -268,8 +267,8 @@ impl DistributedIndex {
     /// Scatter-gather search with full degradation metadata.
     ///
     /// Scatter probes run detached, one per probed shard initially; a
-    /// probe that *errors* (e.g. a [`crate::RemoteShard`] whose socket
-    /// died) fails over to the shard's next live replica, and when
+    /// probe that *errors* (the replica's `search_with` returns `Err`)
+    /// fails over to the shard's next live replica, and when
     /// [`DistributedConfig::hedge_delay`] is set a shard that has not
     /// answered by then gets a *backup* probe on its sibling replica.
     /// The gather keeps the **first arrival per shard** — a primary
@@ -703,7 +702,7 @@ mod tests {
     }
 
     /// A `VectorIndex` that answers correctly but slowly — the in-process
-    /// stand-in for a hung remote shard.
+    /// stand-in for a hung shard.
     struct SlowIndex {
         inner: FlatIndex,
         delay: std::time::Duration,
@@ -732,6 +731,118 @@ mod tests {
             std::thread::sleep(self.delay);
             self.inner.search_with(ctx, query, k, params)
         }
+    }
+
+    /// A `VectorIndex` whose every search fails — the in-process stand-in
+    /// for a shard whose transport died. Counts the probes it refused.
+    struct FailingIndex {
+        inner: FlatIndex,
+        calls: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl VectorIndex for FailingIndex {
+        fn name(&self) -> &'static str {
+            "failing_flat"
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn metric(&self) -> &Metric {
+            self.inner.metric()
+        }
+        fn search_with(
+            &self,
+            _ctx: &mut vdb_core::context::SearchContext,
+            _query: &[f32],
+            _k: usize,
+            _params: &SearchParams,
+        ) -> Result<Vec<Neighbor>> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Err(Error::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionReset,
+                "injected shard failure",
+            )))
+        }
+    }
+
+    /// Builder whose build job `failing` (shard-major: shard * replicas +
+    /// replica) returns a [`FailingIndex`]; every other job is flat.
+    fn failing_builder(
+        failing: usize,
+        calls: Arc<std::sync::atomic::AtomicUsize>,
+    ) -> impl Fn(Vectors, Metric) -> Result<Box<dyn VectorIndex>> + Sync {
+        let job_no = std::sync::atomic::AtomicUsize::new(0);
+        move |v: Vectors, m: Metric| {
+            let inner = FlatIndex::build(v, m)?;
+            if job_no.fetch_add(1, Ordering::Relaxed) == failing {
+                Ok(Box::new(FailingIndex {
+                    inner,
+                    calls: calls.clone(),
+                }) as Box<dyn VectorIndex>)
+            } else {
+                Ok(Box::new(inner) as Box<dyn VectorIndex>)
+            }
+        }
+    }
+
+    #[test]
+    fn erroring_primary_fails_over_to_live_replica_exactly() {
+        let (data, queries, _) = setup();
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut cfg = DistributedConfig::uniform(2);
+        cfg.replicas = 2;
+        // Shard 0, replica 0 errors on every probe.
+        let d = DistributedIndex::build(
+            &data,
+            Metric::Euclidean,
+            cfg.clone(),
+            &failing_builder(0, calls.clone()),
+        )
+        .unwrap();
+        let healthy =
+            DistributedIndex::build(&data, Metric::Euclidean, cfg, &*flat_builder()).unwrap();
+        let params = SearchParams::default();
+        for q in queries.iter().take(4) {
+            // No timeout: a shard that failed for good would fail the
+            // query, so success means the failover answered.
+            let outcome = d.search_outcome(q, 10, &params).unwrap();
+            assert!(!outcome.partial && outcome.failed_shards.is_empty());
+            assert_eq!(outcome.hits, healthy.search(q, 10, &params).unwrap());
+        }
+        // The round-robin cursor starts at replica 0, so the first query
+        // probed the failing replica first and failed over from it.
+        assert!(calls.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn erroring_only_replica_degrades_to_partial_under_timeout() {
+        let (data, queries, _) = setup();
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        // Shard 1 has one replica, and it errors on every probe.
+        let d = DistributedIndex::build(
+            &data,
+            Metric::Euclidean,
+            DistributedConfig::uniform(2),
+            &failing_builder(1, calls.clone()),
+        )
+        .unwrap();
+        assert!(d
+            .search(queries.get(0), 5, &SearchParams::default())
+            .is_err());
+        let lenient = SearchParams::default().with_timeout(std::time::Duration::from_secs(5));
+        let start = std::time::Instant::now();
+        let outcome = d.search_outcome(queries.get(0), 5, &lenient).unwrap();
+        assert!(outcome.partial);
+        assert_eq!(outcome.failed_shards, vec![1]);
+        assert_eq!(outcome.hits.len(), 5, "surviving shard still answers");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(2),
+            "an errored shard resolves at once, not at the deadline"
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

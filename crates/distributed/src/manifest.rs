@@ -22,6 +22,7 @@
 
 use crate::wire::{self, Reader};
 use std::path::Path;
+use vdb_core::checksum::crc32;
 use vdb_core::error::{Error, Result};
 
 /// Magic prefix of an encoded manifest ("VDBM" + format version 1).
@@ -148,7 +149,7 @@ impl ClusterManifest {
                 wire::put_str(&mut out, r);
             }
         }
-        let crc = wire::crc32(&out[MAGIC.len()..]);
+        let crc = crc32(&out[MAGIC.len()..]);
         wire::put_u32(&mut out, crc);
         out
     }
@@ -160,7 +161,7 @@ impl ClusterManifest {
         }
         let body = &bytes[MAGIC.len()..bytes.len() - 4];
         let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if wire::crc32(body) != crc {
+        if crc32(body) != crc {
             return Err(Error::Corrupt("manifest checksum mismatch".into()));
         }
         let mut r = Reader::new(body);

@@ -8,9 +8,8 @@
 //!   wire codec (one opcode byte + little-endian body per frame).
 //! - [`net`] — dependency-free readiness polling: a `poll(2)` shim and
 //!   a self-wake channel for the event-loop connection core (unix).
-//! - [`server`] — [`serve`] a [`vdb::Vdbms`] on a socket: a
-//!   readiness-polling event loop holds every connection (legacy
-//!   thread-per-connection readers behind `VDB_SERVER_EVENTLOOP=0`),
+//! - [`server`] — [`serve`] a [`vdb::Vdbms`] on a socket (unix only): a
+//!   readiness-polling `poll(2)` event loop holds every connection,
 //!   thread-pool executors behind a bounded two-lane queue (interactive
 //!   search before bulk mutation), per-collection token-bucket rate
 //!   limits, admission control that sheds load with an explicit

@@ -218,8 +218,9 @@ pub struct ServerStatsSnapshot {
     pub p50_us: u64,
     /// 99th-percentile admission-to-response latency, in microseconds.
     pub p99_us: u64,
-    /// Whether the server is running the readiness-polling event loop
-    /// (`false` = legacy thread-per-connection readers).
+    /// Whether the server is running the readiness-polling event loop.
+    /// Always `true`: it is the only connection core. The field stays in
+    /// the snapshot because it is part of the wire format.
     pub event_loop: bool,
     /// Total merges (rebuilds or in-place folds) across collections.
     pub merges: u64,

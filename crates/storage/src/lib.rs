@@ -46,5 +46,6 @@ pub use lsm::{KeyedNeighbor, LsmConfig, LsmStore};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use prefetch::{IoBackend, PrefetchPool};
 pub use snapshot::{Snapshot, SnapshotColumn};
+pub use vdb_core::checksum::crc32;
 pub use vector_store::DiskVectorStore;
-pub use wal::{crc32, decode_shipped, ship_record, ShippedRecord, Wal, WalRecord};
+pub use wal::{decode_shipped, ship_record, ShippedRecord, Wal, WalRecord};

@@ -33,10 +33,10 @@
 use crate::codec::{self, Reader};
 use crate::failpoint;
 use crate::file::sync_dir;
-use crate::wal::crc32;
 use std::fs::{File, OpenOptions};
 use std::path::Path;
 use vdb_core::attr::{AttrType, AttrValue};
+use vdb_core::checksum::crc32;
 use vdb_core::error::{Error, Result};
 use vdb_core::vector::Vectors;
 
@@ -289,30 +289,35 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
             SEC_META => {
                 fingerprint = Some(p.string()?);
                 dim = p.u32()? as usize;
-                rows = p.u64()? as usize;
+                rows = usize::try_from(p.u64()?)
+                    .map_err(|_| corrupt("row count exceeds the address space"))?;
                 ncols = p.u32()? as usize;
             }
+            // A crafted META row count must not size an allocation or
+            // overflow arithmetic: fixed-width sections must be exactly as
+            // long as META says, and a column's pre-allocation is bounded
+            // by its payload (every value takes at least one byte).
             SEC_KEYS => {
+                if rows.checked_mul(8) != Some(payload.len()) {
+                    return Err(corrupt("keys section length does not match META"));
+                }
                 let mut keys = Vec::with_capacity(rows);
                 for _ in 0..rows {
                     keys.push(p.u64()?);
                 }
-                if !p.is_empty() {
-                    return Err(corrupt("keys section has trailing bytes"));
-                }
                 row_keys = Some(keys);
             }
             SEC_VECTORS => {
-                let flat = p.f32s(rows * dim)?;
-                if !p.is_empty() {
-                    return Err(corrupt("vectors section has trailing bytes"));
-                }
-                vectors = Some(Vectors::from_flat(dim.max(1), flat)?);
+                let floats = rows
+                    .checked_mul(dim)
+                    .filter(|n| n.checked_mul(4) == Some(payload.len()))
+                    .ok_or_else(|| corrupt("vectors section length does not match META"))?;
+                vectors = Some(Vectors::from_flat(dim.max(1), p.f32s(floats)?)?);
             }
             SEC_COLUMN => {
                 let name = p.string()?;
                 let ty = codec::attr_type_from_tag(p.u8()?)?;
-                let mut values = Vec::with_capacity(rows);
+                let mut values = Vec::with_capacity(rows.min(payload.len()));
                 for _ in 0..rows {
                     values.push(p.attr()?);
                 }
@@ -507,6 +512,51 @@ mod tests {
             if n < points - 1 {
                 // Every crash before the rename step preserves the old file.
                 assert_eq!(back, old, "crash point {n} must not touch the target");
+            }
+        }
+    }
+
+    /// An image with valid CRCs whose META claims `rows` rows of `dim`,
+    /// followed by `sections` and END.
+    fn crafted(rows: u64, dim: u32, sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+        let mut meta = Vec::new();
+        codec::put_str(&mut meta, "flat");
+        codec::put_u32(&mut meta, dim);
+        codec::put_u64(&mut meta, rows);
+        codec::put_u32(&mut meta, 1);
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&section_frame(SEC_META, &meta));
+        for (tag, payload) in sections {
+            out.extend_from_slice(&section_frame(*tag, payload));
+        }
+        out.extend_from_slice(&section_frame(SEC_END, &[]));
+        out
+    }
+
+    /// Regression: a CRC-valid image with a huge META row count used to
+    /// panic (capacity overflow in KEYS/COLUMN, `rows * dim` overflow in
+    /// VECTORS). It reaches `decode` from the wire via replica install,
+    /// so it must be a typed `Corrupt` error instead.
+    #[test]
+    fn crafted_row_count_is_corrupt_not_a_panic() {
+        let column = {
+            let mut c = Vec::new();
+            codec::put_str(&mut c, "tag");
+            c.push(codec::attr_type_tag(AttrType::Int));
+            c
+        };
+        let images = [
+            crafted(u64::MAX / 4, 3, &[(SEC_KEYS, vec![0; 8])]),
+            crafted(1 << 62, 8, &[(SEC_VECTORS, vec![0; 32])]),
+            crafted(u64::MAX / 4, 3, &[(SEC_COLUMN, column)]),
+            // Shorter and longer than META says, with a sane row count.
+            crafted(2, 3, &[(SEC_KEYS, vec![0; 8])]),
+            crafted(1, 3, &[(SEC_VECTORS, vec![0; 16])]),
+        ];
+        for (i, image) in images.iter().enumerate() {
+            match decode(image) {
+                Err(Error::Corrupt(_)) => {}
+                other => panic!("image {i}: expected Corrupt, got {other:?}"),
             }
         }
     }

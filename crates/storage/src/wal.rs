@@ -23,6 +23,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 use vdb_core::attr::AttrValue;
+use vdb_core::checksum::crc32;
 use vdb_core::error::{Error, Result};
 
 /// A logged operation.
@@ -51,19 +52,6 @@ const TAG_INSERT_V1: u8 = 1;
 const TAG_DELETE: u8 = 2;
 /// Current insert: vector + attribute list.
 const TAG_INSERT_V2: u8 = 3;
-
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// An append-only write-ahead log.
 #[derive(Debug)]
@@ -533,13 +521,6 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
         assert!(matches!(decode_shipped(&bad), Err(Error::Corrupt(_))));
-    }
-
-    #[test]
-    fn crc32_known_value() {
-        // Standard test vector: CRC32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

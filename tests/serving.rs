@@ -1,16 +1,17 @@
 //! End-to-end serving acceptance: concurrent clients over loopback TCP,
 //! admission control under overload, coalesced batching, graceful
-//! drain-then-stop shutdown, and socket-backed distributed shards
-//! degrading to partial results when a shard dies.
+//! drain-then-stop shutdown, and the manifest-routed cluster client
+//! degrading to the surviving shards when a shard server dies.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vdb::{CollectionSchema, IndexSpec, SystemProfile, Vdbms, VqlOutput};
-use vdb_core::{dataset, FlatIndex, Metric, Rng, SearchParams, VectorIndex, Vectors};
-use vdb_distributed::{
-    serve_index, DistributedConfig, DistributedIndex, RemoteShard, RemoteShardConfig, ShardHandle,
+use vdb::{CollectionSchema, Fusion, IndexSpec, SystemProfile, Vdbms, VqlOutput};
+use vdb_core::attr::{AttrType, AttrValue};
+use vdb_core::{Metric, SearchParams};
+use vdb_distributed::ClusterManifest;
+use vdb_server::{
+    serve, Client, ClusterClient, ErrorCode, RateLimit, Request, Response, ServerConfig,
 };
-use vdb_server::{serve, Client, ErrorCode, RateLimit, Request, Response, ServerConfig};
 
 fn fixture_db(n: usize, dim: usize) -> Vdbms {
     let mut db = Vdbms::new(SystemProfile::MostlyVector);
@@ -215,49 +216,6 @@ fn call_raw(addr: std::net::SocketAddr, req: Request) -> Response {
     Response::decode(&payload).unwrap()
 }
 
-/// The readiness-polling event loop and the legacy thread-per-connection
-/// readers must be pure transport swaps: the same fixture and the same
-/// queries produce bit-identical hits under both cores.
-#[test]
-fn event_loop_and_legacy_serve_bit_identical_results() {
-    let mut per_core: Vec<Vec<Vec<(u64, u32)>>> = Vec::new();
-    for mode in [Some(true), Some(false)] {
-        let cfg = ServerConfig {
-            event_loop: mode,
-            ..ServerConfig::default()
-        };
-        let handle = serve(fixture_db(128, 4), "127.0.0.1:0", cfg).unwrap();
-        assert_eq!(
-            handle.stats().event_loop,
-            cfg!(unix) && mode == Some(true),
-            "snapshot must report which connection core is running"
-        );
-        let client = Client::connect(handle.addr()).unwrap();
-        let mut results = Vec::new();
-        for q in 0..32u64 {
-            let hits = client
-                .search(
-                    "docs",
-                    &[(q * 3 % 128) as f32 + 0.4, 0.25, 0.0, 0.0],
-                    5,
-                    &SearchParams::default(),
-                )
-                .unwrap();
-            results.push(
-                hits.iter()
-                    .map(|h| (h.key, h.dist.to_bits()))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        per_core.push(results);
-        handle.shutdown();
-    }
-    assert_eq!(
-        per_core[0], per_core[1],
-        "event loop and legacy readers must return bit-identical hits"
-    );
-}
-
 /// The bulk lane has its own, smaller bound: with the single worker
 /// parked, overflowing inserts are shed BUSY while interactive searches
 /// are still admitted into the remaining `max_queue` headroom.
@@ -437,63 +395,90 @@ fn metrics_snapshot_reports_latency_qps_and_gauges() {
         s.open_connections + s.reaped,
         "accepted = open + closed on an idle server (no client hangups)"
     );
-    assert_eq!(s.event_loop, handle.stats().event_loop);
+    assert!(s.event_loop, "the event loop is the only connection core");
     assert_eq!(s.busy, 0);
     assert_eq!(s.deadline_expired, 0);
     handle.shutdown();
 }
 
-/// Socket-backed scatter-gather: killing one shard's server yields a
-/// partial result within the query deadline instead of an error or a
-/// hang.
+/// The distinct shards that `keys` route to, ascending.
+fn shards_hit(manifest: &ClusterManifest, keys: impl Iterator<Item = u64>) -> Vec<usize> {
+    let mut shards: Vec<usize> = keys.map(|k| manifest.shard_of(k)).collect();
+    shards.sort_unstable();
+    shards.dedup();
+    shards
+}
+
+/// Socket scatter-gather through [`ClusterClient`]: with one of three
+/// manifest-routed shard servers shut down, kNN and hybrid searches
+/// still answer promptly, from the surviving shards only.
 #[test]
-fn killed_remote_shard_degrades_to_partial_within_deadline() {
-    let mut rng = Rng::seed_from_u64(991);
-    let data = dataset::gaussian(600, 8, &mut rng);
-    let handles: Arc<vdb_core::sync::Mutex<Vec<ShardHandle>>> =
-        Arc::new(vdb_core::sync::Mutex::new(Vec::new()));
-    let handles_in_builder = handles.clone();
-    let builder = move |v: Vectors, m: Metric| -> vdb_core::Result<Box<dyn VectorIndex>> {
-        let local: Arc<dyn VectorIndex> = Arc::new(FlatIndex::build(v, m)?);
-        let server = serve_index(local, "127.0.0.1:0")?;
-        let remote = RemoteShard::connect(server.addr(), RemoteShardConfig::default())?;
-        handles_in_builder.lock().push(server);
-        Ok(Box::new(remote))
-    };
-    let dist = DistributedIndex::build(
-        &data,
-        Metric::Euclidean,
-        DistributedConfig::uniform(3),
-        &builder,
-    )
-    .unwrap();
+fn killed_shard_server_degrades_cluster_search_within_deadline() {
+    const N_SHARDS: usize = 3;
+    const WORDS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
+    let mut handles: Vec<_> = (0..N_SHARDS)
+        .map(|_| {
+            let mut db = Vdbms::new(SystemProfile::MostlyMixed);
+            db.create_collection(
+                CollectionSchema::new("docs", 4, Metric::Euclidean)
+                    .column("body", AttrType::Str)
+                    .text_index("body"),
+                IndexSpec::Flat,
+            )
+            .unwrap();
+            serve(db, "127.0.0.1:0", ServerConfig::default()).unwrap()
+        })
+        .collect();
+    let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
+    let manifest = ClusterManifest::new("docs", N_SHARDS, &addrs).unwrap();
+    for (h, addr) in handles.iter().zip(&addrs) {
+        h.set_cluster(addr.clone(), manifest.clone());
+    }
+    let cluster = ClusterClient::connect(&addrs[1], "docs").unwrap();
+    for i in 0..300u64 {
+        let body = format!("{} {}", WORDS[i as usize % 4], WORDS[(i as usize / 4) % 4]);
+        let v = [i as f32, (i % 7) as f32, 0.0, 1.0];
+        cluster
+            .insert(i, &v, &[("body", AttrValue::Str(body))])
+            .unwrap();
+    }
     let params = SearchParams::default().with_timeout(Duration::from_millis(700));
-    let q = vec![0.0; 8];
+    let q = [0.0, 0.0, 0.0, 1.0];
 
-    let full = dist.search_outcome(&q, 10, &params).unwrap();
-    assert!(!full.partial, "all shards up: result must be complete");
-    assert_eq!(full.hits.len(), 10);
+    let full = cluster.search(&q, 12, &params).unwrap();
+    assert_eq!(full.len(), 12);
+    let all_shards = shards_hit(&manifest, full.iter().map(|h| h.key));
+    assert_eq!(all_shards, vec![0, 1, 2]);
 
-    // Kill one shard's server socket, then search again under deadline.
-    let killed = handles.lock().remove(0);
-    killed.shutdown();
+    // Shut down shard 0's server (its primary, and its only copy), then
+    // search again.
+    let killed = 0;
+    handles.remove(killed).shutdown();
     let start = Instant::now();
-    let degraded = dist.search_outcome(&q, 10, &params).unwrap();
+    let knn = cluster.search(&q, 12, &params).unwrap();
+    let hybrid = cluster
+        .hybrid_search(&q, "alpha", 12, Fusion::Rrf { k0: 60 }, None, &params)
+        .unwrap();
     let elapsed = start.elapsed();
     assert!(
-        degraded.partial,
-        "a dead shard must mark the result partial"
+        elapsed < Duration::from_secs(3),
+        "degraded searches must answer promptly, took {elapsed:?}"
     );
-    assert_eq!(degraded.failed_shards.len(), 1);
+    assert!(!knn.is_empty(), "surviving shards must still contribute");
     assert!(
-        !degraded.hits.is_empty(),
+        !hybrid.hits.is_empty(),
         "surviving shards must still contribute"
     );
-    assert!(
-        elapsed < Duration::from_secs(3),
-        "partial result must arrive near the deadline, took {elapsed:?}"
-    );
-    for h in handles.lock().drain(..) {
+    for shards in [
+        shards_hit(&manifest, knn.iter().map(|h| h.key)),
+        shards_hit(&manifest, hybrid.hits.iter().map(|h| h.key)),
+    ] {
+        assert!(
+            !shards.contains(&killed),
+            "a hit came from the dead shard {killed}: {shards:?}"
+        );
+    }
+    for h in handles {
         h.shutdown();
     }
 }
